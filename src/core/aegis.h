@@ -423,6 +423,18 @@ class Aegis final : public hw::TrapSink {
   // Test-only: skews an environment's slice-slot counter the same way, so
   // tests can prove the per-CPU slice accounting cross-check fires.
   void DebugSkewSliceAccounting(EnvId env, int32_t delta);
+  // Test-only: skews one CPU's scheduler-index count of pickable envs, so
+  // tests can prove the audit's from-scratch index rebuild catches it.
+  void DebugSkewSchedIndex(uint32_t cpu, int32_t delta);
+  // Host-side (charges nothing): one CPU's idle steps — found nothing to
+  // run — that spun (an env was eligible, not here) or parked (none was).
+  struct IdleStats {
+    uint64_t spins = 0;
+    uint64_t parks = 0;
+  };
+  IdleStats idle_stats(uint32_t cpu) const {
+    return cpu < cpu_.size() ? IdleStats{cpu_[cpu].idle_spins, cpu_[cpu].idle_parks} : IdleStats{};
+  }
   // Disables the software TLB (ablation bench).
   void set_stlb_enabled(bool enabled) { stlb_enabled_ = enabled; }
 
@@ -540,7 +552,30 @@ class Aegis final : public hw::TrapSink {
   // on one CPU's slice vector.
   void RunCpu(uint32_t cpu_index);
   EnvId NextRunnable(uint32_t cpu_index);
-  bool AnyLive() const;
+
+  // Scheduler index. An env is eligible when runnable, on no CPU and with
+  // no kill in flight; CPU k's pick (slice walk or fallback) can return it
+  // if it holds a slot on k or none at all. Per-CPU `pickable` and global
+  // `idle_runnable_` counts make an idle step that finds nothing two loads.
+  // Every write to state, on_cpu, kill_pending, slot_mask or a slot goes
+  // through SetSched, SetSlotOwner or Reindex. excess_penalty and
+  // yield_hint stay outside: a penalty only reorders the walk (the fallback
+  // takes a penalised env anyway), and the hint is checked before the pick.
+  template <typename T>
+  void SetSched(Env& env, T Env::*field, T value) {
+    env.*field = value;
+    Reindex(env);
+  }
+  void SetSlotOwner(uint32_t cpu, uint32_t slot, EnvId owner);
+  // Drops `env`'s slots and any donation aimed at it on one CPU.
+  void ReleaseCpu(Env& env, uint32_t cpu);
+  static bool Eligible(const Env& env) {
+    return env.state == EnvState::kRunnable && env.on_cpu == kNoCpu && !env.kill_pending;
+  }
+  // The CPUs whose pick can return `env` now (0: not eligible).
+  uint64_t PickMask(const Env& env) const;
+  // Brings the counts in step with `env`'s PickMask.
+  void Reindex(Env& env);
   // Least-loaded CPU admitted by `mask` (fewest owned slice slots; lowest
   // index breaks ties). Returns kNoCpu if the mask admits none.
   uint32_t PickCpu(uint64_t mask) const;
@@ -614,6 +649,10 @@ class Aegis final : public hw::TrapSink {
   // cpu_[0], which behaves exactly as the old globals did.
   struct CpuSched {
     std::vector<EnvId> slice_vector;
+    std::vector<uint64_t> occupied;  // Bit i: slice_vector[i] has an owner.
+    uint32_t pickable = 0;           // Scheduler index (see SetSched).
+    uint64_t idle_spins = 0;         // Host-only; see idle_stats().
+    uint64_t idle_parks = 0;
     uint32_t slice_cursor = 0;
     EnvId yield_hint = kNoEnv;  // Directed-yield target (slice donation).
     EnvId current = kNoEnv;
@@ -661,6 +700,7 @@ class Aegis final : public hw::TrapSink {
   std::unordered_map<uint64_t, EnvId> disk_waiters_;
 
   uint32_t live_envs_ = 0;
+  uint32_t idle_runnable_ = 0;  // Scheduler index: eligible envs, all CPUs.
 
   // xtrace: the bound event ring (nullptr = disarmed) and the kernel-wide
   // per-syscall latency histograms.

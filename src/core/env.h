@@ -116,6 +116,8 @@ struct Env {
   // A forced kill aimed at this env is in flight on another CPU (IPI sent);
   // the env must not be rescheduled or migrated meanwhile.
   bool kill_pending = false;
+  // CPUs whose scheduler-index count includes this env (Aegis::Reindex).
+  uint64_t indexed_on = 0;
 
   // Asynchronous PCT mailbox, drained before the env resumes.
   std::deque<PctArgs> mailbox;

@@ -149,12 +149,8 @@ void Cpu::Charge(uint64_t cycles) {
   if (trap_depth_ > 0) {
     return;  // Interrupts implicitly masked while handling a trap.
   }
-  if (machine_.world_ != nullptr) {
-    if (machine_.world_->ShouldYield(clock_->now())) {
-      machine_.world_->YieldCurrent();
-    }
-  } else if (machine_.smp_running_ && machine_.SiblingBehind(*this)) {
-    machine_.YieldCpu(*this);
+  if (machine_.world_ != nullptr && machine_.world_->ShouldYield(clock_->now())) {
+    machine_.world_->YieldCurrent();
   }
   if (interrupts_enabled_) {
     DeliverDue();
@@ -168,26 +164,16 @@ void Cpu::WaitForInterrupt() {
     }
     if (machine_.world_ != nullptr) {
       machine_.world_->ParkCurrent();
-      if (machine_.smp_running_) {
-        // Resumed: either the world advanced our clock to a due event, or
-        // this is a spurious wake so the kernel loop can re-check whether
-        // it still has anything to run.
+      if (fiber_ != nullptr) {
+        // A RunCpus CPU, resumed: either the world advanced our clock to a
+        // due event, or this is a spurious wake so the kernel loop can
+        // re-check whether it still has anything to run.
         if (interrupts_enabled_) {
           DeliverDue();
         }
         return;
       }
       continue;  // Plain machine body: re-check for due events.
-    }
-    if (machine_.smp_running_) {
-      machine_.ParkCpu(*this);
-      // Resumed: either the scheduler advanced our clock to a due event, or
-      // this is a spurious wake so the kernel loop can re-check whether it
-      // still has anything to run.
-      if (interrupts_enabled_ && DeliverDue()) {
-        return;
-      }
-      return;
     }
     const uint64_t next = NextDueCycle();
     if (next == ~0ULL) {
@@ -202,7 +188,7 @@ void Cpu::WaitForInterrupt() {
 void Cpu::PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t payload) {
   events_.push(PendingEvent{due_cycle, source, payload, event_seq_++});
   if (machine_.world_ != nullptr) {
-    machine_.world_->NoteEventPosted();
+    machine_.world_->NoteEventPosted(*this, due_cycle);
   }
 }
 
@@ -255,9 +241,9 @@ Machine::Machine(const Config& config, World* world)
                  cpus);
     std::abort();
   }
-  // Every CPU owns a local clock; the world (or the machine's own SMP
-  // interleaver) orders execution by these, so cycles burned on different
-  // CPUs — and different machines — overlap in simulated time.
+  // Every CPU owns a local clock; the world orders execution by these, so
+  // cycles burned on different CPUs — and different machines — overlap in
+  // simulated time.
   cpus_.reserve(cpus);
   for (uint32_t i = 0; i < cpus; ++i) {
     cpus_.push_back(std::make_unique<Cpu>(*this, i, std::make_shared<CycleClock>()));
@@ -288,7 +274,7 @@ uint64_t Machine::MaxCpuCycle() const {
 }
 
 bool Machine::CpuParked(uint32_t index) const {
-  return cpus_[index]->run_state_ == Cpu::RunState::kParked;
+  return cpus_[index]->world_parked_;
 }
 
 void Machine::Charge(uint64_t cycles) { active_->Charge(cycles); }
@@ -453,142 +439,52 @@ void Machine::PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t pay
   cpus_[0]->PushEvent(due_cycle, source, payload);
 }
 
-// --- SMP interleaver ---
-
-bool Machine::SiblingBehind(const Cpu& cpu) const {
-  const uint64_t now = cpu.clock().now();
-  for (const std::unique_ptr<Cpu>& other : cpus_) {
-    if (other.get() == &cpu) {
-      continue;
-    }
-    if (other->run_state_ == Cpu::RunState::kReady && other->clock().now() < now) {
-      return true;
-    }
-    if (other->run_state_ == Cpu::RunState::kParked && other->NextDueCycle() < now) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void Machine::YieldCpu(Cpu& cpu) {
-  cpu.run_state_ = Cpu::RunState::kReady;
-  Fiber::Switch(*cpu.fiber_, scheduler_fiber_);
-}
-
-void Machine::ParkCpu(Cpu& cpu) {
-  cpu.run_state_ = Cpu::RunState::kParked;
-  Fiber::Switch(*cpu.fiber_, scheduler_fiber_);
-}
-
-void Machine::ResumeCpu(Cpu& cpu) {
-  cpu.run_state_ = Cpu::RunState::kRunning;
-  active_ = &cpu;
-  Fiber::Switch(scheduler_fiber_, *cpu.fiber_);
-}
-
 void Machine::RunCpus(std::vector<std::function<void()>> bodies) {
   if (bodies.size() != cpus_.size()) {
     std::fprintf(stderr, "xok: machine %s RunCpus wants %zu bodies for %zu CPUs\n", config_.name,
                  bodies.size(), cpus_.size());
     std::abort();
   }
-  if (smp_running_) {
+  if (cpus_[0]->fiber_ != nullptr) {
     std::fprintf(stderr, "xok: machine %s RunCpus is not reentrant\n", config_.name);
     std::abort();
   }
-  smp_running_ = true;
-  for (size_t i = 0; i < cpus_.size(); ++i) {
-    Cpu* cpu = cpus_[i].get();
-    std::function<void()> body = std::move(bodies[i]);
-    cpu->run_state_ = Cpu::RunState::kReady;
-    cpu->fiber_ = std::make_unique<Fiber>([this, cpu, body = std::move(body)] {
-      body();
-      cpu->run_state_ = Cpu::RunState::kDone;
-      if (world_ != nullptr) {
-        world_->FinishCurrent();  // Parks this fiber forever.
-      }
-      for (;;) {
-        Fiber::Switch(*cpu->fiber_, scheduler_fiber_);
-      }
-    });
-  }
-  if (world_ != nullptr) {
-    // The world schedules the CPU fibers alongside every other machine's;
-    // this body (the world context that was executing as CPU 0) blocks
-    // until all of them have returned.
-    world_->RunCpusBlock(this);
-  } else {
-    ScheduleCpus();
-  }
-  smp_running_ = false;
-  for (const std::unique_ptr<Cpu>& cpu : cpus_) {
-    cpu->fiber_.reset();
-    cpu->run_state_ = Cpu::RunState::kIdle;
-  }
-  active_ = cpus_[0].get();
-}
-
-void Machine::ScheduleCpus() {
-  // Lowest-local-time-first, the SMP analogue of World::Schedule: among
-  // ready CPUs pick the one whose clock is furthest behind; wake a parked
-  // CPU instead when its next event is due no later than every ready CPU's
-  // present. When nothing is ready and nothing is due, sweep the parked
-  // CPUs with spurious wakes so their kernel loops can observe a global
-  // exit condition; if a full sweep changes nothing, the machine is hung.
-  bool swept = false;
-  for (;;) {
-    Cpu* best_ready = nullptr;
-    Cpu* best_parked = nullptr;
-    uint64_t parked_due = ~0ULL;
-    bool any_undone = false;
-    for (const std::unique_ptr<Cpu>& cpu : cpus_) {
-      switch (cpu->run_state_) {
-        case Cpu::RunState::kReady:
-          any_undone = true;
-          if (best_ready == nullptr || cpu->clock().now() < best_ready->clock().now()) {
-            best_ready = cpu.get();
-          }
-          break;
-        case Cpu::RunState::kParked:
-          any_undone = true;
-          if (cpu->NextDueCycle() < parked_due) {
-            parked_due = cpu->NextDueCycle();
-            best_parked = cpu.get();
-          }
-          break;
-        default:
-          break;
-      }
-    }
-    if (!any_undone) {
-      return;  // Every body returned.
-    }
-    if (best_parked != nullptr && parked_due != ~0ULL &&
-        (best_ready == nullptr || parked_due <= best_ready->clock().now())) {
-      best_parked->clock().AdvanceTo(parked_due);
-      swept = false;
-      ResumeCpu(*best_parked);
-      continue;
-    }
-    if (best_ready != nullptr) {
-      swept = false;
-      ResumeCpu(*best_ready);
-      continue;
-    }
-    // Only parked CPUs remain and none has a due event.
-    if (swept) {
+  if (world_ == nullptr) {
+    // Standalone: the CPUs run inside an implicit one-machine World, so
+    // there is one interleaver. The world returns early only if it
+    // quiesced with CPUs still parked, which standalone is a hang.
+    World world(/*overdue_only=*/true);
+    world.Attach(this);
+    world_ = &world;
+    bool finished = false;
+    world.Run({[this, &bodies, &finished] {
+      RunCpus(std::move(bodies));
+      finished = true;
+    }});
+    world_ = nullptr;
+    if (!finished) {
       std::fprintf(stderr, "xok: machine %s: all CPUs idle with no pending events (hang)\n",
                    config_.name);
       std::abort();
     }
-    swept = true;
-    for (const std::unique_ptr<Cpu>& cpu : cpus_) {
-      if (cpu->run_state_ == Cpu::RunState::kParked) {
-        ResumeCpu(*cpu);
-      }
-    }
+    return;
   }
+  for (size_t i = 0; i < cpus_.size(); ++i) {
+    Cpu* cpu = cpus_[i].get();
+    std::function<void()> body = std::move(bodies[i]);
+    cpu->fiber_ = std::make_unique<Fiber>([this, body = std::move(body)] {
+      body();
+      world_->FinishCurrent();  // Parks this fiber forever.
+    });
+  }
+  // The world schedules the CPU fibers alongside every other machine's;
+  // this body (the world context that was executing as CPU 0) blocks
+  // until all of them have returned.
+  world_->RunCpusBlock(this);
+  for (const std::unique_ptr<Cpu>& cpu : cpus_) {
+    cpu->fiber_.reset();
+  }
+  active_ = cpus_[0].get();
 }
 
 }  // namespace xok::hw

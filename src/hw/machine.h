@@ -15,12 +15,12 @@
 // The per-CPU kernel loops run on fibers interleaved in
 // lowest-local-time-first order at charge boundaries.
 //
-// Machines of any CPU count may join a hw::World. The unified scheduling
-// invariant: the schedulable context (any CPU of any attached machine)
-// with the globally lowest local clock executes next, ties broken by
-// (machine_index, cpu_index), so multi-machine runs are deterministic.
-// Standalone, the machine runs its own interleaver (Machine::ScheduleCpus),
-// which is the same algorithm restricted to one machine.
+// There is one interleaver, hw::World: the schedulable context (any CPU of
+// any attached machine) with the globally lowest local clock executes
+// next, ties broken by registration order, so multi-machine runs are
+// deterministic. A standalone multi-CPU machine runs its CPUs inside
+// an implicit one-machine World for the duration of RunCpus; a
+// single-CPU machine never interleaves.
 #ifndef XOK_SRC_HW_MACHINE_H_
 #define XOK_SRC_HW_MACHINE_H_
 
@@ -150,11 +150,6 @@ class Cpu {
   friend class PrivPort;
   friend class World;
 
-  // Where this CPU stands in the SMP interleaver (the machine's own, or the
-  // world's when attached). kIdle outside RunCpus (and always, on a
-  // single-CPU machine).
-  enum class RunState : uint8_t { kIdle, kReady, kRunning, kParked, kDone };
-
   void Charge(uint64_t cycles);
   void WaitForInterrupt();
   bool DeliverDue();
@@ -187,12 +182,14 @@ class Cpu {
   std::priority_queue<PendingEvent, std::vector<PendingEvent>, std::greater<>> events_;
   uint64_t event_seq_ = 0;
 
-  // SMP interleaving (meaningful only while Machine::RunCpus is active).
-  // `fiber_` doubles as the entry fiber and the continuation slot: a switch
-  // away saves whatever this CPU was executing — kernel loop or environment
+  // SMP interleaving. `fiber_` is set only while Machine::RunCpus is active;
+  // it doubles as the entry fiber and the continuation slot: a switch away
+  // saves whatever this CPU was executing — kernel loop or environment
   // fiber — and a switch back resumes it exactly there.
   std::unique_ptr<Fiber> fiber_;
-  RunState run_state_ = RunState::kIdle;
+  // True while the World context on this CPU (machine body or RunCpus CPU)
+  // is parked in WaitForInterrupt.
+  bool world_parked_ = false;
 };
 
 class Machine {
@@ -221,7 +218,6 @@ class Machine {
   const CycleClock& clock() const { return active_->clock(); }
   PhysMem& mem() { return mem_; }
   Tlb& tlb() { return active_->tlb(); }
-  World* world() { return world_; }
   const char* name() const { return config_.name; }
 
   uint32_t cpu_count() const { return static_cast<uint32_t>(cpus_.size()); }
@@ -231,7 +227,7 @@ class Machine {
   // Highest local cycle count across CPUs: the wall-clock of an SMP run.
   uint64_t MaxCpuCycle() const;
 
-  // True if `cpu` is parked in WaitForInterrupt under the SMP interleaver.
+  // True if `cpu` is parked in WaitForInterrupt under the World interleaver.
   // Kernels use this to decide whether a cross-CPU wake needs an IPI kick
   // (a busy CPU will rescan on its own; a parked one sleeps until an event).
   bool CpuParked(uint32_t index) const;
@@ -259,39 +255,25 @@ class Machine {
   Result<int32_t> AddOverflow(int32_t a, int32_t b);  // Signed add, traps on overflow.
   Status CoprocOp();                                  // FP op; traps if coproc disabled.
 
-  // Parks the executing CPU until an interrupt is delivered. In a World,
-  // control passes to other CPUs of any machine; under the standalone SMP
-  // interleaver, to sibling CPUs (a RunCpus CPU resumed without a due event
-  // returns so its kernel loop can re-check its run condition); standalone
-  // single-CPU, the clock jumps to the next local event (aborts if there is
-  // none — that would be a hang).
+  // Parks the executing CPU until an interrupt is delivered. In a World
+  // (including the implicit one a standalone RunCpus runs in), control
+  // passes to other CPUs of any machine, and a RunCpus CPU resumed without
+  // a due event returns so its kernel loop can re-check its run condition;
+  // standalone single-CPU, the clock jumps to the next local event (aborts
+  // if there is none — that would be a hang).
   void WaitForInterrupt();
 
   // Runs one body per CPU on its own fiber, interleaved at charge
   // boundaries so that the CPU with the lowest local cycle count executes
-  // first. Standalone the machine interleaves them itself; attached to a
-  // World, each CPU fiber becomes a world context scheduled alongside every
-  // other machine's CPUs, and the calling machine body blocks until all CPU
-  // bodies return. Requires exactly cpu_count() bodies.
+  // first. Each CPU fiber becomes a World context — of the attached World,
+  // scheduled alongside every other machine's CPUs, or of an implicit
+  // one-machine World when standalone — and the caller blocks until all CPU
+  // bodies return. Standalone, aborts if every CPU is idle with no pending
+  // event (a hang). Requires exactly cpu_count() bodies.
   void RunCpus(std::vector<std::function<void()>> bodies);
-
-  // True while executing the kernel's OnException/OnInterrupt.
-  bool in_trap() const { return active_->trap_depth_ > 0; }
 
   // Deterministic per-machine id assigned by the world (0 standalone).
   uint32_t world_index() const { return world_index_; }
-  void set_world_index(uint32_t index) { world_index_ = index; }
-
-  // Earliest cycle at which this machine has something to do (queued event
-  // or armed slice timer on any CPU); ~0 if none. Used by the world
-  // scheduler.
-  uint64_t NextDueCycle() const {
-    uint64_t next = ~0ULL;
-    for (const std::unique_ptr<Cpu>& cpu : cpus_) {
-      next = std::min(next, cpu->NextDueCycle());
-    }
-    return next;
-  }
 
  private:
   friend class Cpu;
@@ -309,23 +291,6 @@ class Machine {
   // Device events are wired to CPU 0, as on most real boards.
   void PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t payload);
 
-  // --- SMP interleaver (no-ops on a single-CPU machine) ---
-
-  // True if another CPU should execute before `cpu` burns more cycles:
-  // a ready sibling whose local clock is behind, or a parked sibling whose
-  // next event is already due by `cpu`'s local time.
-  bool SiblingBehind(const Cpu& cpu) const;
-  // World-side accessors for CPU fibers and interleaver state.
-  Fiber* CpuFiber(uint32_t index) { return cpus_[index]->fiber_.get(); }
-  void SetCpuRunState(uint32_t index, Cpu::RunState state) {
-    cpus_[index]->run_state_ = state;
-  }
-  // Saves the executing CPU's continuation and re-enters the scheduler.
-  void YieldCpu(Cpu& cpu);    // Stays ready: resumed by clock order.
-  void ParkCpu(Cpu& cpu);     // Sleeps: resumed by a due event (or spuriously).
-  void ResumeCpu(Cpu& cpu);   // Scheduler side: runs `cpu` until it yields.
-  void ScheduleCpus();        // The interleaving loop itself.
-
   Config config_;
   PhysMem mem_;
   PrivPort priv_;
@@ -335,9 +300,7 @@ class Machine {
   TrapSink* kernel_ = nullptr;
 
   std::vector<std::unique_ptr<Cpu>> cpus_;
-  Cpu* active_ = nullptr;      // The CPU whose code is executing now.
-  bool smp_running_ = false;   // Inside RunCpus.
-  Fiber scheduler_fiber_;      // Continuation slot for the RunCpus caller.
+  Cpu* active_ = nullptr;  // The CPU whose code is executing now.
 };
 
 }  // namespace xok::hw

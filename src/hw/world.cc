@@ -7,12 +7,8 @@
 
 namespace xok::hw {
 
-World::World() = default;
-
-World::~World() = default;
-
 void World::Attach(Machine* machine) {
-  machine->set_world_index(static_cast<uint32_t>(machines_.size()));
+  machine->world_index_ = static_cast<uint32_t>(machines_.size());
   machines_.push_back(machine);
 }
 
@@ -33,19 +29,13 @@ void World::Run(std::vector<std::function<void()>> bodies) {
   for (size_t i = 0; i < machines_.size(); ++i) {
     auto ctx = std::make_unique<Ctx>();
     ctx->machine = machines_[i];
-    ctx->machine_index = static_cast<uint32_t>(i);
     ctx->cpu = 0;
     ctx->body = true;
     ctx->state = CtxState::kReady;
-    Ctx* raw = ctx.get();
     auto body = std::move(bodies[i]);
-    ctx->owned = std::make_unique<Fiber>([this, raw, body = std::move(body)]() {
+    ctx->owned = std::make_unique<Fiber>([this, body = std::move(body)]() {
       body();
-      raw->state = CtxState::kDone;
-      ++progress_epoch_;
-      for (;;) {
-        Fiber::Switch(*raw->fiber, world_fiber_);
-      }
+      FinishCurrent();
     });
     ctx->fiber = ctx->owned.get();
     ctxs_.push_back(std::move(ctx));
@@ -53,6 +43,10 @@ void World::Run(std::vector<std::function<void()>> bodies) {
   scheduling_ = true;
   Schedule();
   scheduling_ = false;
+  for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
+    // Quiesced contexts stay parked forever; their CPUs no longer are.
+    ctx->machine->cpu(ctx->cpu).world_parked_ = false;
+  }
 }
 
 void World::Schedule() {
@@ -60,7 +54,8 @@ void World::Schedule() {
   // ready contexts pick the one whose clock is furthest behind; wake a
   // parked context instead when its next event is due no later than every
   // ready context's present, advancing its clock to the due cycle. Ties
-  // break by (machine_index, cpu_index) — attach order — so runs are
+  // break by scan order — machine bodies in attach order, then RunCpus CPUs
+  // by cpu index in the order their machines entered RunCpus — so runs are
   // deterministic. When nothing is ready and nothing is due, sweep the
   // parked RunCpus contexts with spurious wakes so their kernel loops can
   // observe a global exit condition; if a full sweep changes nothing the
@@ -68,7 +63,9 @@ void World::Schedule() {
   // longstanding single-CPU world contract).
   bool swept = false;
   for (;;) {
-    RetireFinishedGroups();
+    if (groups_finished_ > 0) {
+      RetireFinishedGroups();
+    }
     Ctx* best_ready = nullptr;
     Ctx* best_parked = nullptr;
     uint64_t parked_due = kNever;
@@ -76,7 +73,7 @@ void World::Schedule() {
     for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
       if (ctx->state == CtxState::kReady) {
         if (best_ready == nullptr || CtxClockNow(*ctx) < CtxClockNow(*best_ready)) {
-          best_ready = ctx.get();  // Scan order is the (machine, cpu) tie-break.
+          best_ready = ctx.get();  // Scan order is the tie-break.
         }
       } else if (ctx->state == CtxState::kParked) {
         any_parked = true;
@@ -124,9 +121,7 @@ void World::Schedule() {
 void World::ResumeCtx(Ctx* ctx) {
   ctx->state = CtxState::kRunning;
   Cpu& cpu = ctx->machine->cpu(ctx->cpu);
-  if (!ctx->body) {
-    ctx->machine->SetCpuRunState(ctx->cpu, Cpu::RunState::kRunning);
-  }
+  cpu.world_parked_ = false;
   ctx->machine->active_ = &cpu;
   running_ = ctx;
   RecomputeCaches();
@@ -137,10 +132,6 @@ void World::ResumeCtx(Ctx* ctx) {
 void World::YieldCurrent() {
   Ctx* ctx = running_;
   ctx->state = CtxState::kReady;
-  if (!ctx->body) {
-    ctx->machine->SetCpuRunState(ctx->cpu, Cpu::RunState::kReady);
-  }
-  RecomputeCaches();
   Fiber::Switch(*ctx->fiber, world_fiber_);
 }
 
@@ -151,10 +142,7 @@ void World::ParkCurrent() {
   }
   Ctx* ctx = running_;
   ctx->state = CtxState::kParked;
-  if (!ctx->body) {
-    ctx->machine->SetCpuRunState(ctx->cpu, Cpu::RunState::kParked);
-  }
-  RecomputeCaches();
+  ctx->machine->cpu(ctx->cpu).world_parked_ = true;
   Fiber::Switch(*ctx->fiber, world_fiber_);
 }
 
@@ -162,6 +150,9 @@ void World::FinishCurrent() {
   Ctx* ctx = running_;
   ctx->state = CtxState::kDone;
   ++progress_epoch_;
+  if (ctx->group != nullptr && ++ctx->group->cpus_done == ctx->machine->cpu_count()) {
+    ++groups_finished_;
+  }
   for (;;) {
     Fiber::Switch(*ctx->fiber, world_fiber_);
   }
@@ -178,51 +169,42 @@ void World::RunCpusBlock(Machine* machine) {
   for (uint32_t i = 0; i < machine->cpu_count(); ++i) {
     auto ctx = std::make_unique<Ctx>();
     ctx->machine = machine;
-    ctx->machine_index = body->machine_index;
     ctx->cpu = i;
     ctx->body = false;
-    ctx->fiber = machine->CpuFiber(i);
+    ctx->fiber = machine->cpus_[i]->fiber_.get();
     ctx->state = CtxState::kReady;
+    ctx->group = body;
     ctxs_.push_back(std::move(ctx));
   }
   ++progress_epoch_;
   body->state = CtxState::kBlocked;
-  RecomputeCaches();
   Fiber::Switch(*body->fiber, world_fiber_);
   // Resumed: every CPU body has returned and the contexts are retired.
 }
 
 void World::RetireFinishedGroups() {
+  groups_finished_ = 0;
   for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
-    if (!ctx->body || ctx->state != CtxState::kBlocked) {
-      continue;
+    if (ctx->body && ctx->state == CtxState::kBlocked &&
+        ctx->cpus_done == ctx->machine->cpu_count()) {
+      ctx->state = CtxState::kReady;
+      ctx->cpus_done = 0;
+      ++progress_epoch_;
     }
-    bool all_done = true;
-    for (const std::unique_ptr<Ctx>& other : ctxs_) {
-      if (!other->body && other->machine == ctx->machine &&
-          other->state != CtxState::kDone) {
-        all_done = false;
-        break;
-      }
-    }
-    if (!all_done) {
-      continue;
-    }
-    Machine* machine = ctx->machine;
-    std::erase_if(ctxs_, [machine](const std::unique_ptr<Ctx>& c) {
-      return !c->body && c->machine == machine;
-    });
-    // `ctx` stays valid: erase_if only removed non-body contexts.
-    ctx->state = CtxState::kReady;
-    ++progress_epoch_;
-    RetireFinishedGroups();  // Restart: iterators were invalidated.
-    return;
   }
+  // A RunCpus context lives only while its body is blocked on it.
+  std::erase_if(ctxs_, [](const std::unique_ptr<Ctx>& c) {
+    return !c->body && c->group->state != CtxState::kBlocked;
+  });
 }
 
-void World::NoteEventPosted() {
+void World::NoteEventPosted(Cpu& cpu, uint64_t due_cycle) {
   ++progress_epoch_;
-  RecomputeCaches();
+  // Only a parked context's due time is cached; the running context checks
+  // its own queue, and ready contexts are cached by clock, not by events.
+  if (cpu.world_parked_ && due_cycle < parked_min_due_) {
+    parked_min_due_ = due_cycle;
+  }
 }
 
 void World::RecomputeCaches() {

@@ -296,6 +296,68 @@ TEST_F(AegisSmpTest, AuditCatchesSliceLedgerSkew) {
   kernel_.Run();
 }
 
+TEST_F(AegisSmpTest, AuditCatchesSchedIndexSkew) {
+  // The audit rebuilds the scheduler index (per-CPU pickable counts, the
+  // idle-runnable count, slot occupancy) from the env and slot tables; a
+  // skewed count must be caught and the disagreeing CPU named.
+  EnvSpec spec;
+  spec.entry = [&] { kernel_.SysNull(); };
+  ASSERT_TRUE(kernel_.CreateEnv(std::move(spec)).ok());
+
+  ASSERT_TRUE(kernel_.AuditInvariants().ok());
+  kernel_.DebugSkewSchedIndex(2, +1);
+  Aegis::AuditReport report = kernel_.AuditInvariants();
+  ASSERT_FALSE(report.ok());
+  bool named = false;
+  for (const std::string& v : report.violations) {
+    if (v.find("sched index: cpu 2 ") != std::string::npos) {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named);
+  kernel_.DebugSkewSchedIndex(2, -1);
+  EXPECT_TRUE(kernel_.AuditInvariants().ok());
+  kernel_.Run();
+  EXPECT_TRUE(kernel_.AuditInvariants().ok());
+}
+
+TEST_F(AegisSmpTest, IdleCpusSpinWhileAnEnvWaitsForItsBusyHomeCpu) {
+  // Two compute-bound envs pinned to CPU 0: while one runs, the other is
+  // runnable but only CPU 0 may take it. The idle re-check counts it on
+  // every CPU, so CPUs 1-3 spin rather than park meanwhile.
+  for (int i = 0; i < 2; ++i) {
+    EnvSpec spec;
+    spec.cpu_mask = 1ULL << 0;
+    spec.entry = [&] {
+      for (int r = 0; r < 200; ++r) {
+        kernel_.SysNull();
+      }
+    };
+    ASSERT_TRUE(kernel_.CreateEnv(std::move(spec)).ok());
+  }
+  kernel_.Run();
+  uint64_t spins = 0;
+  for (uint32_t k = 1; k < 4; ++k) {
+    spins += kernel_.idle_stats(k).spins;
+  }
+  EXPECT_GT(spins, 0u);
+  EXPECT_TRUE(kernel_.AuditInvariants().ok());
+}
+
+TEST_F(AegisSmpTest, IdleCpusParkWhenEveryEnvIsBlocked) {
+  // One env asleep and nothing else runnable: every idle step parks.
+  EnvSpec spec;
+  spec.entry = [&] { kernel_.SysSleep(50'000); };
+  ASSERT_TRUE(kernel_.CreateEnv(std::move(spec)).ok());
+  kernel_.Run();
+  uint64_t parks = 0;
+  for (uint32_t k = 0; k < 4; ++k) {
+    parks += kernel_.idle_stats(k).parks;
+  }
+  EXPECT_GT(parks, 0u);
+  EXPECT_EQ(kernel_.idle_stats(4).spins + kernel_.idle_stats(4).parks, 0u);  // No such CPU.
+}
+
 TEST_F(AegisSmpTest, EnvStatsReportCurrentCpu) {
   uint32_t seen_cpu = ~0u;
   EnvSpec spec;

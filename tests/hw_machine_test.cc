@@ -347,6 +347,25 @@ TEST_F(SmpMachineTest, CpuParkedReflectsWaitForInterrupt) {
   EXPECT_FALSE(machine_.CpuParked(1));
 }
 
+TEST_F(SmpMachineTest, StandaloneHangAborts) {
+  // Every CPU idles with nothing pending: the implicit World a standalone
+  // machine runs its CPUs in quiesces, and the machine reports the hang
+  // rather than returning from RunCpus with its CPU bodies unfinished.
+  EXPECT_DEATH(
+      {
+        std::vector<std::function<void()>> bodies;
+        for (int i = 0; i < 4; ++i) {
+          bodies.push_back([this] {
+            for (;;) {
+              machine_.WaitForInterrupt();
+            }
+          });
+        }
+        machine_.RunCpus(std::move(bodies));
+      },
+      "all CPUs idle with no pending events");
+}
+
 TEST_F(SmpMachineTest, RemoteFlushDropsOnlyTheTargetsEntries) {
   std::vector<std::function<void()>> bodies;
   uint32_t dropped_live = 0;
