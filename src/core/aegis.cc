@@ -561,11 +561,6 @@ void Aegis::Reindex(Env& env) {
   if (now == was) {
     return;
   }
-  if (was == 0) {
-    ++idle_runnable_;
-  } else if (now == 0) {
-    --idle_runnable_;
-  }
   for (uint64_t gone = was & ~now; gone != 0; gone &= gone - 1) {
     --cpu_[std::countr_zero(gone)].pickable;
   }
@@ -647,13 +642,12 @@ void Aegis::RunCpu(uint32_t cpu_index) {
     if (next == kNoEnv) {
       priv_.ClearSliceDeadline();
       // That clear charged cycles, and a charge may deliver a due interrupt
-      // (or first yield to another CPU or machine). If that woke an env,
-      // parking now would strand it behind an empty event queue — a lost
-      // wakeup — so re-check first. The re-check counts eligible envs on
-      // every CPU, ignoring slot_mask: while an env waits for its own busy
-      // CPU, every other idle CPU spins round this loop in one-instruction
-      // steps (the clear) instead of parking.
-      if (idle_runnable_ > 0) {
+      // (or first yield to another CPU or machine). If that made an env
+      // pickable here, parking now would strand it behind an empty event
+      // queue — a lost wakeup — so re-check this CPU's count first. An env
+      // pickable only elsewhere is that CPU's to run (NudgeCpusFor kicks it
+      // if parked), so this one parks rather than spins.
+      if (cpu.pickable > 0) {
         ++cpu.idle_spins;
       } else {
         ++cpu.idle_parks;
@@ -1663,7 +1657,6 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
   // Scheduler index: rebuilt from the env table, it must match the live
   // counts; the first disagreeing env or CPU is named.
   std::vector<uint32_t> pickable(cpu_.size(), 0);
-  uint32_t idle_runnable = 0;
   for (const auto& env : envs_) {
     const uint64_t mask = PickMask(*env);
     if (mask != env->indexed_on) {
@@ -1671,7 +1664,6 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
            std::to_string(env->indexed_on) + ", pickable on " + std::to_string(mask));
       break;
     }
-    idle_runnable += mask != 0 ? 1 : 0;
     for (uint64_t m = mask; m != 0; m &= m - 1) {
       ++pickable[std::countr_zero(m)];
     }
@@ -1683,10 +1675,6 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
            std::to_string(pickable[k]));
       break;
     }
-  }
-  if (idle_runnable != idle_runnable_) {
-    fail("sched index: " + std::to_string(idle_runnable_) + " envs counted idle-runnable, " +
-         "tables give " + std::to_string(idle_runnable));
   }
 
   // Framebuffer ownership tags.

@@ -297,9 +297,9 @@ TEST_F(AegisSmpTest, AuditCatchesSliceLedgerSkew) {
 }
 
 TEST_F(AegisSmpTest, AuditCatchesSchedIndexSkew) {
-  // The audit rebuilds the scheduler index (per-CPU pickable counts, the
-  // idle-runnable count, slot occupancy) from the env and slot tables; a
-  // skewed count must be caught and the disagreeing CPU named.
+  // The audit rebuilds the scheduler index (per-CPU pickable counts and
+  // slot occupancy) from the env and slot tables; a skewed count must be
+  // caught and the disagreeing CPU named.
   EnvSpec spec;
   spec.entry = [&] { kernel_.SysNull(); };
   ASSERT_TRUE(kernel_.CreateEnv(std::move(spec)).ok());
@@ -321,10 +321,10 @@ TEST_F(AegisSmpTest, AuditCatchesSchedIndexSkew) {
   EXPECT_TRUE(kernel_.AuditInvariants().ok());
 }
 
-TEST_F(AegisSmpTest, IdleCpusSpinWhileAnEnvWaitsForItsBusyHomeCpu) {
+TEST_F(AegisSmpTest, IdleCpusParkWhileAnEnvWaitsForItsBusyHomeCpu) {
   // Two compute-bound envs pinned to CPU 0: while one runs, the other is
-  // runnable but only CPU 0 may take it. The idle re-check counts it on
-  // every CPU, so CPUs 1-3 spin rather than park meanwhile.
+  // runnable but only CPU 0 may take it. The idle re-check counts only
+  // envs pickable on its own CPU, so CPUs 1-3 park rather than spin.
   for (int i = 0; i < 2; ++i) {
     EnvSpec spec;
     spec.cpu_mask = 1ULL << 0;
@@ -337,10 +337,13 @@ TEST_F(AegisSmpTest, IdleCpusSpinWhileAnEnvWaitsForItsBusyHomeCpu) {
   }
   kernel_.Run();
   uint64_t spins = 0;
+  uint64_t parks = 0;
   for (uint32_t k = 1; k < 4; ++k) {
     spins += kernel_.idle_stats(k).spins;
+    parks += kernel_.idle_stats(k).parks;
   }
-  EXPECT_GT(spins, 0u);
+  EXPECT_EQ(spins, 0u);
+  EXPECT_GT(parks, 0u);
   EXPECT_TRUE(kernel_.AuditInvariants().ok());
 }
 
