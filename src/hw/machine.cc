@@ -453,7 +453,7 @@ void Machine::RunCpus(std::vector<std::function<void()>> bodies) {
     // Standalone: the CPUs run inside an implicit one-machine World, so
     // there is one interleaver. The world returns early only if it
     // quiesced with CPUs still parked, which standalone is a hang.
-    World world(/*overdue_only=*/true);
+    World world;
     world.Attach(this);
     world_ = &world;
     bool finished = false;

@@ -12,8 +12,8 @@
 // Multi-CPU machines join a World like any other: Machine::RunCpus
 // registers each CPU fiber as a world context and blocks the machine body
 // until every CPU body returns. A standalone multi-CPU machine runs its
-// CPUs inside an implicit one-machine World, so this is the simulator's
-// only interleaver.
+// CPUs inside an implicit one-machine World under the same yield rule, so
+// this is the simulator's only interleaver.
 #ifndef XOK_SRC_HW_WORLD_H_
 #define XOK_SRC_HW_WORLD_H_
 
@@ -31,11 +31,7 @@ class Machine;
 
 class World {
  public:
-  // `overdue_only`: a running context yields to a parked one only once its
-  // event is strictly overdue, not when due — the rule of a standalone SMP
-  // machine's implicit World, which its simulated results are pinned to.
-  explicit World(bool overdue_only = false) : overdue_only_(overdue_only) {}
-
+  World() = default;
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
@@ -56,12 +52,11 @@ class World {
   void RunCpusBlock(Machine* machine);
 
   // True if the currently-running context should hand control back: some
-  // parked context's event is due at or before `now` (strictly before, if
-  // overdue_only), or a ready context's local clock is strictly behind.
-  // Checked from Cpu::Charge.
+  // parked context's event is due at or before `now`, or a ready context's
+  // local clock is strictly behind. One rule for every World, standalone
+  // or multi-machine. Checked from Cpu::Charge.
   bool ShouldYield(uint64_t now) const {
-    const bool parked_due = overdue_only_ ? parked_min_due_ < now : parked_min_due_ <= now;
-    return scheduling_ && (parked_due || ready_min_clock_ < now);
+    return scheduling_ && (parked_min_due_ <= now || ready_min_clock_ < now);
   }
 
   // Saves the running context and re-enters the scheduler.
@@ -105,8 +100,6 @@ class World {
   uint64_t CtxNextDue(const Ctx& ctx) const;
 
   static constexpr uint64_t kNever = ~0ULL;
-
-  const bool overdue_only_;
 
   std::vector<Machine*> machines_;
   std::vector<std::unique_ptr<Ctx>> ctxs_;
