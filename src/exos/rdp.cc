@@ -63,22 +63,21 @@ Status RdpEndpoint::Send(std::span<const uint8_t> payload) {
       retransmit_log_.push_back(proc_.machine().clock().now());
       rto = std::min(rto * 2, std::max<uint64_t>(config_.retransmit_cap_cycles, 1));
     }
-    // Await the ACK, polling with a short sleep so a lost ACK cannot
-    // block us forever.
-    const uint64_t wait_budget = JitteredWait(rto);
-    uint64_t waited = 0;
-    while (waited < wait_budget) {
+    // Await the ACK until this attempt's (jittered) RTO passes: a prompt
+    // ACK ends the sleep at once, and a lost one cannot block us forever.
+    const uint64_t deadline = proc_.machine().clock().now() + JitteredWait(rto);
+    for (;;) {
       if (have_peer_ack_ && pending_ack_ == send_seq_) {
         have_peer_ack_ = false;
         send_seq_ ^= 1;
         return Status::kOk;
       }
-      Result<Datagram> dgram = socket_.Recv(/*blocking=*/false);
+      Result<Datagram> dgram = socket_.RecvUntil(deadline);
+      if (dgram.status() == Status::kErrTimedOut) {
+        break;  // Retransmit.
+      }
       if (!dgram.ok()) {
-        const uint64_t nap = rto / 8 + 1;
-        proc_.kernel().SysSleep(nap);
-        waited += nap;
-        continue;
+        return dgram.status();
       }
       if (!FrameValid(*dgram)) {
         continue;
@@ -107,31 +106,18 @@ Status RdpEndpoint::Send(std::span<const uint8_t> payload) {
 Result<std::vector<uint8_t>> RdpEndpoint::Recv() { return Recv(0); }
 
 Result<std::vector<uint8_t>> RdpEndpoint::Recv(uint64_t timeout_cycles) {
-  uint64_t waited = 0;
+  const uint64_t deadline = timeout_cycles == 0
+                                ? UdpSocket::kNoDeadline
+                                : proc_.machine().clock().now() + timeout_cycles;
   for (;;) {
     Datagram dgram;
     if (!stashed_.empty()) {
       dgram = std::move(stashed_.front());
       stashed_.pop_front();
-    } else if (timeout_cycles == 0) {
-      Result<Datagram> received = socket_.Recv(/*blocking=*/true);
+    } else {
+      Result<Datagram> received = socket_.RecvUntil(deadline);
       if (!received.ok()) {
         return received.status();
-      }
-      dgram = std::move(*received);
-    } else {
-      // Bounded wait: poll with short naps instead of the blocking sleep,
-      // so a powered-off peer costs `timeout_cycles`, not forever.
-      Result<Datagram> received = socket_.Recv(/*blocking=*/false);
-      if (!received.ok()) {
-        if (waited >= timeout_cycles) {
-          return Status::kErrTimedOut;
-        }
-        const uint64_t nap = std::min<uint64_t>(
-            timeout_cycles - waited, config_.retransmit_cycles / 8 + 1);
-        proc_.kernel().SysSleep(nap);
-        waited += nap;
-        continue;
       }
       dgram = std::move(*received);
     }

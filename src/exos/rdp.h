@@ -51,7 +51,9 @@ class RdpEndpoint {
       : proc_(proc), socket_(socket), config_(config),
         jitter_state_(config.jitter_seed) {}
 
-  // Reliably delivers `payload` (blocks until acknowledged).
+  // Reliably delivers `payload` (blocks until acknowledged). Each attempt
+  // sleeps on the socket until a frame arrives or its RTO passes; after the
+  // last, kErrTimedOut. A socket error (send or receive) is returned as is.
   Status Send(std::span<const uint8_t> payload);
 
   // Receives the next in-order payload (blocks). ACKs are generated here,
@@ -61,7 +63,8 @@ class RdpEndpoint {
   // Bounded variant: gives up with kErrTimedOut after `timeout_cycles`
   // without an in-order payload (0 = wait forever). The bound is what lets
   // a client survive a peer that lost power mid-conversation — a plain
-  // blocking Recv would sleep until a reply that can never come.
+  // blocking Recv would sleep until a reply that can never come. The wait
+  // is one deadline sleep on the socket, woken early by any arrival.
   Result<std::vector<uint8_t>> Recv(uint64_t timeout_cycles);
 
   // Re-ACKs any retransmitted DATA sitting in the socket without blocking.

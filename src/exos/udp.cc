@@ -248,40 +248,74 @@ Result<Datagram> UdpSocket::PopRingFrame() {
 }
 
 Result<Datagram> UdpSocket::Recv(bool blocking) {
+  Result<Datagram> dgram = RecvUntil(blocking ? kNoDeadline : 0);
+  if (dgram.status() == Status::kErrTimedOut) {
+    return Status::kErrWouldBlock;  // Non-blocking, and nothing there.
+  }
+  return dgram;
+}
+
+Result<Datagram> UdpSocket::RecvUntil(uint64_t deadline) {
   if (!binding_.has_value()) {
     return Status::kErrBadState;
   }
-  if (ring_.has_value()) {
-    for (;;) {
-      if (!ring_->RxEmpty()) {
-        // The ring header lives in shared (and revocable) memory: if the
-        // kernel repossessed a ring page and its next owner scribbled the
-        // head word, RxEmpty() stays false forever and every "frame" is a
-        // stale slot replayed from a page that is no longer ours. Bound
-        // that trust: after a full ring's worth of pops without ever
-        // observing emptiness, audit the binding and surface revocation.
-        if (++ring_pops_since_check_ > ring_config_.rx_slots) {
-          ring_pops_since_check_ = 0;
-          Result<aegis::PacketStats> audit = proc_.kernel().SysPacketStats(*binding_);
-          if (!audit.ok() || !audit->ring_bound) {
-            return Status::kErrRevoked;
-          }
+  bool doorbell_armed = false;
+  bool alarm_set = false;
+  for (;;) {
+    if (ring_.has_value() && !ring_->RxEmpty()) {
+      // The ring header lives in shared (and revocable) memory: if the
+      // kernel repossessed a ring page and its next owner scribbled the
+      // head word, RxEmpty() stays false forever and every "frame" is a
+      // stale slot replayed from a page that is no longer ours. Bound
+      // that trust: after a full ring's worth of pops without ever
+      // observing emptiness, audit the binding and surface revocation.
+      if (++ring_pops_since_check_ > ring_config_.rx_slots) {
+        ring_pops_since_check_ = 0;
+        Result<aegis::PacketStats> audit = proc_.kernel().SysPacketStats(*binding_);
+        if (!audit.ok() || !audit->ring_bound) {
+          return Status::kErrRevoked;
         }
-        Result<Datagram> dgram = PopRingFrame();
-        if (dgram.ok()) {
-          return dgram;
-        }
-        continue;  // Malformed frame dropped; try the next slot.
       }
+      Result<Datagram> dgram = PopRingFrame();
+      if (dgram.ok()) {
+        return dgram;
+      }
+      continue;  // Malformed frame dropped; try the next slot.
+    }
+    if (ring_.has_value()) {
       ring_pops_since_check_ = 0;  // Emptiness observed: header in sync.
-      if (!blocking) {
-        return Status::kErrWouldBlock;
+    } else {
+      Result<std::vector<uint8_t>> frame = proc_.kernel().SysRecvPacket(*binding_);
+      if (frame.ok()) {
+        proc_.machine().Charge(kHeaderParse);
+        net::UdpView view;
+        if (!net::ParseUdpFrame(*frame, &view)) {
+          continue;  // Malformed; the library's policy is to drop.
+        }
+        Datagram dgram;
+        dgram.src_ip = view.src_ip;
+        dgram.src_port = view.src_port;
+        dgram.payload.assign(view.payload.begin(), view.payload.end());
+        return dgram;
       }
+      if (frame.status() != Status::kErrWouldBlock) {
+        return frame.status();
+      }
+    }
+    const uint64_t now = proc_.machine().clock().now();
+    if (now >= deadline) {
+      if (doorbell_armed) {
+        ring_->set_rx_armed(false);  // A frame after the deadline rings no doorbell.
+      }
+      return Status::kErrTimedOut;
+    }
+    if (ring_.has_value()) {
       // Arm the doorbell, then re-check before sleeping: a frame deposited
       // between the emptiness check and the arming would otherwise wait
       // for the next arrival. The kernel's wake-pending latch covers the
       // remaining arm-to-block window.
       ring_->set_rx_armed(true);
+      doorbell_armed = true;
       if (!ring_->RxEmpty()) {
         ring_->set_rx_armed(false);
         continue;
@@ -289,7 +323,7 @@ Result<Datagram> UdpSocket::Recv(bool blocking) {
       // Verify the binding is alive before committing to sleep: a filter
       // reclaimed while this env was busy elsewhere (or while blocked —
       // the kernel wakes reclaim victims, which lands us back here) would
-      // otherwise leave it blocked on a ring no frame can ever reach
+      // otherwise leave it asleep on a ring no frame can ever reach
       // again. Surface kErrRevoked so the caller's revocation handler can
       // rebind instead.
       Result<aegis::PacketStats> stats = proc_.kernel().SysPacketStats(*binding_);
@@ -297,30 +331,16 @@ Result<Datagram> UdpSocket::Recv(bool blocking) {
         ring_->set_rx_armed(false);
         return Status::kErrRevoked;
       }
+    }
+    // The binding wakes us on arrival; any other wake just comes round the
+    // loop. One alarm per wait: it is due at or after the deadline, so
+    // after an early wake it is still pending and a plain block suffices.
+    if (deadline == kNoDeadline || alarm_set) {
       proc_.kernel().SysBlock();
+    } else {
+      proc_.kernel().SysSleep(deadline - now);
+      alarm_set = true;
     }
-  }
-  for (;;) {
-    Result<std::vector<uint8_t>> frame = proc_.kernel().SysRecvPacket(*binding_);
-    if (frame.ok()) {
-      proc_.machine().Charge(kHeaderParse);
-      net::UdpView view;
-      if (!net::ParseUdpFrame(*frame, &view)) {
-        continue;  // Malformed; the library's policy is to drop.
-      }
-      Datagram dgram;
-      dgram.src_ip = view.src_ip;
-      dgram.src_port = view.src_port;
-      dgram.payload.assign(view.payload.begin(), view.payload.end());
-      return dgram;
-    }
-    if (frame.status() != Status::kErrWouldBlock) {
-      return frame.status();
-    }
-    if (!blocking) {
-      return Status::kErrWouldBlock;
-    }
-    proc_.kernel().SysBlock();  // The binding wakes us on arrival.
   }
 }
 

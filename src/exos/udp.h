@@ -86,6 +86,12 @@ class UdpSocket {
   // Receives the next datagram. Blocking: sleeps until the filter binding
   // wakes us. Non-blocking: returns kErrWouldBlock when empty.
   Result<Datagram> Recv(bool blocking = true);
+  // Receives the next datagram, sleeping until one arrives or the local
+  // clock reaches `deadline` (an absolute cycle), then kErrTimedOut. One
+  // SysSleep per wait; a ring doorbell or a queued frame ends it early.
+  // Recv is the kNoDeadline (no alarm) and already-passed (no sleep) case.
+  static constexpr uint64_t kNoDeadline = ~0ULL;
+  Result<Datagram> RecvUntil(uint64_t deadline);
 
   uint16_t port() const { return port_; }
   bool ring_bound() const { return ring_.has_value(); }

@@ -209,6 +209,121 @@ TEST_F(ExosNetTest, SocketLifecycleErrors) {
   world_.Run({[&] { kernel_a_.Run(); }, [&] {}});
 }
 
+TEST_F(ExosNetTest, RecvUntilTimesOutAtItsDeadline) {
+  // Legacy queue: no traffic before the deadline ends the wait with
+  // kErrTimedOut at or past it. A later frame queues for the next look
+  // (the legacy path posts a wake per queued frame, so there is no
+  // doorbell to disarm).
+  constexpr uint64_t kWait = 50'000;
+  uint64_t deadline = 0;
+  uint64_t returned_at = 0;
+  Status waited = Status::kOk;
+  uint32_t queued_later = 0;
+  uint8_t late_byte = 0;
+  Process receiver(kernel_b_, [&](Process& p) {
+    UdpSocket socket(p, IfaceB());
+    ASSERT_EQ(socket.Bind(200), Status::kOk);
+    deadline = p.machine().clock().now() + kWait;
+    waited = socket.RecvUntil(deadline).status();
+    returned_at = p.machine().clock().now();
+    p.kernel().SysSleep(8 * kWait);
+    queued_later = p.kernel().SysPacketStats(*socket.filter_id())->queue_pending;
+    Result<Datagram> dgram = socket.Recv(/*blocking=*/false);
+    ASSERT_TRUE(dgram.ok());
+    late_byte = dgram->payload[0];
+  });
+  Process sender(kernel_a_, [&](Process& p) {
+    UdpSocket socket(p, IfaceA());
+    ASSERT_EQ(socket.Bind(100), Status::kOk);
+    p.kernel().SysSleep(4 * kWait);
+    ASSERT_EQ(socket.SendTo(2, 200, std::vector<uint8_t>{7}), Status::kOk);
+  });
+  ASSERT_TRUE(receiver.ok());
+  ASSERT_TRUE(sender.ok());
+  RunWorld();
+  EXPECT_EQ(waited, Status::kErrTimedOut);
+  EXPECT_GE(returned_at, deadline);
+  EXPECT_EQ(queued_later, 1u);
+  EXPECT_EQ(late_byte, 7u);
+}
+
+TEST_F(ExosNetTest, RecvUntilReturnsAFrameThatArrivesMidWait) {
+  constexpr uint64_t kWait = 50'000;
+  uint64_t deadline = 0;
+  uint64_t returned_at = 0;
+  uint8_t got = 0;
+  Process receiver(kernel_b_, [&](Process& p) {
+    UdpSocket socket(p, IfaceB());
+    ASSERT_EQ(socket.Bind(200), Status::kOk);
+    deadline = p.machine().clock().now() + 20 * kWait;
+    Result<Datagram> dgram = socket.RecvUntil(deadline);
+    returned_at = p.machine().clock().now();
+    ASSERT_TRUE(dgram.ok());
+    got = dgram->payload[0];
+  });
+  Process sender(kernel_a_, [&](Process& p) {
+    UdpSocket socket(p, IfaceA());
+    ASSERT_EQ(socket.Bind(100), Status::kOk);
+    p.kernel().SysSleep(kWait);
+    ASSERT_EQ(socket.SendTo(2, 200, std::vector<uint8_t>{9}), Status::kOk);
+  });
+  ASSERT_TRUE(receiver.ok());
+  ASSERT_TRUE(sender.ok());
+  RunWorld();
+  EXPECT_EQ(got, 9u);
+  EXPECT_LT(returned_at, 2 * kWait);  // Woken by the arrival, not the alarm.
+  EXPECT_LT(returned_at, deadline);
+}
+
+TEST_F(ExosNetTest, RecvUntilSetsOneAlarmPerWait) {
+  // Frames for another socket of the same env wake it three times during
+  // the wait. Each early wake re-blocks on the one alarm already pending
+  // (no second SysSleep), so a wait never leaves more than one stale
+  // alarm behind.
+  constexpr uint64_t kWait = 50'000;
+  const auto sleeps = [](Process& p) {
+    return p.kernel().SysEnvStats(p.id())->counters.syscalls[static_cast<size_t>(
+        xtrace::Sys::kSleep)];
+  };
+  const auto blocks = [](Process& p) {
+    return p.kernel().SysEnvStats(p.id())->counters.syscalls[static_cast<size_t>(
+        xtrace::Sys::kBlock)];
+  };
+  uint64_t deadline = 0;
+  uint64_t returned_at = 0;
+  Status waited = Status::kOk;
+  uint64_t sleep_calls = 0;
+  uint64_t block_calls = 0;
+  Process receiver(kernel_b_, [&](Process& p) {
+    UdpSocket quiet(p, IfaceB());
+    UdpSocket noisy(p, IfaceB());
+    ASSERT_EQ(quiet.Bind(200), Status::kOk);
+    ASSERT_EQ(noisy.Bind(201), Status::kOk);
+    const uint64_t sleeps_before = sleeps(p);
+    const uint64_t blocks_before = blocks(p);
+    deadline = p.machine().clock().now() + 10 * kWait;
+    waited = quiet.RecvUntil(deadline).status();
+    returned_at = p.machine().clock().now();
+    sleep_calls = sleeps(p) - sleeps_before;
+    block_calls = blocks(p) - blocks_before;
+  });
+  Process sender(kernel_a_, [&](Process& p) {
+    UdpSocket socket(p, IfaceA());
+    ASSERT_EQ(socket.Bind(100), Status::kOk);
+    for (uint8_t i = 0; i < 3; ++i) {
+      p.kernel().SysSleep(2 * kWait);
+      ASSERT_EQ(socket.SendTo(2, 201, std::vector<uint8_t>{i}), Status::kOk);
+    }
+  });
+  ASSERT_TRUE(receiver.ok());
+  ASSERT_TRUE(sender.ok());
+  RunWorld();
+  EXPECT_EQ(waited, Status::kErrTimedOut);
+  EXPECT_GE(returned_at, deadline);
+  EXPECT_EQ(sleep_calls, 1u);
+  EXPECT_GE(block_calls, 4u);  // The sleep's own block, then one per early wake.
+}
+
 TEST_F(ExosNetTest, MalformedFramesAreDroppedByLibrary) {
   // A frame that passes the port filter but fails library-level parsing
   // (broken IP checksum) must be dropped by the libOS, not delivered.

@@ -347,6 +347,95 @@ TEST(RdpTest, SeededJitterDecorrelatesRetransmitSchedules) {
   EXPECT_EQ(jit_a, jit_a2);   // Jitter is replayable, not randomness.
 }
 
+// Deadline waits, on a legacy-queue socket and on a ring socket: two
+// machines on a lossless wire, each process given its socket kind.
+struct DeadlineRig {
+  hw::World world;
+  hw::Machine ma{hw::Machine::Config{.phys_pages = 256, .name = "snd"}, &world};
+  hw::Machine mb{hw::Machine::Config{.phys_pages = 256, .name = "rcv"}, &world};
+  aegis::Aegis ka{ma};
+  aegis::Aegis kb{mb};
+  hw::Wire wire;
+  hw::Nic na{ma, 0xa};
+  hw::Nic nb{mb, 0xb};
+
+  DeadlineRig() {
+    wire.Attach(&na);
+    wire.Attach(&nb);
+    ka.AttachNic(&na);
+    kb.AttachNic(&nb);
+  }
+  void Run() { world.Run({[&] { ka.Run(); }, [&] { kb.Run(); }}); }
+};
+
+Status BindKind(UdpSocket& socket, uint16_t port, bool ring) {
+  return ring ? socket.BindRing(port) : socket.Bind(port);
+}
+
+TEST(RdpDeadlineTest, PromptAckEndsSendWellInsideItsRto) {
+  // The ACK wait sleeps until a frame arrives, so a prompt ACK ends it at
+  // once rather than at the next poll beat.
+  constexpr uint64_t kRto = hw::kClockHz / 50;  // 20 ms, far above a round trip.
+  for (const bool ring : {false, true}) {
+    SCOPED_TRACE(ring ? "ring socket" : "legacy socket");
+    DeadlineRig rig;
+    uint64_t send_cycles = ~0ULL;
+    uint64_t retransmissions = ~0ULL;
+    bool delivered = false;
+    Process sender(rig.ka, [&](Process& p) {
+      UdpSocket socket(p, NetIface{0xa, 1, Resolve});
+      ASSERT_EQ(BindKind(socket, 100, ring), Status::kOk);
+      RdpEndpoint rdp(p, socket,
+                      RdpEndpoint::Config{.peer_ip = 2, .peer_port = 200,
+                                          .retransmit_cycles = kRto,
+                                          .retransmit_cap_cycles = kRto});
+      p.kernel().SysSleep(hw::kClockHz / 100);  // Let the receiver bind.
+      const uint64_t start = p.machine().clock().now();
+      ASSERT_EQ(rdp.Send(std::vector<uint8_t>{1, 2, 3}), Status::kOk);
+      send_cycles = p.machine().clock().now() - start;
+      retransmissions = rdp.retransmissions();
+    });
+    Process receiver(rig.kb, [&](Process& p) {
+      UdpSocket socket(p, NetIface{0xb, 2, Resolve});
+      ASSERT_EQ(BindKind(socket, 200, ring), Status::kOk);
+      RdpEndpoint rdp(p, socket, RdpEndpoint::Config{.peer_ip = 1, .peer_port = 100});
+      Result<std::vector<uint8_t>> msg = rdp.Recv();
+      delivered = msg.ok() && *msg == std::vector<uint8_t>{1, 2, 3};
+    });
+    ASSERT_TRUE(sender.ok());
+    ASSERT_TRUE(receiver.ok());
+    rig.Run();
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(retransmissions, 0u);
+    EXPECT_LT(send_cycles, kRto / 10);
+  }
+}
+
+TEST(RdpDeadlineTest, BoundedRecvTimesOutAtItsBound) {
+  // A silent peer: the bounded Recv is one deadline sleep and ends at its
+  // bound with kErrTimedOut, not a poll beat later.
+  constexpr uint64_t kBound = hw::kClockHz / 100;  // 10 ms.
+  for (const bool ring : {false, true}) {
+    SCOPED_TRACE(ring ? "ring socket" : "legacy socket");
+    DeadlineRig rig;
+    Status status = Status::kOk;
+    uint64_t waited = 0;
+    Process receiver(rig.kb, [&](Process& p) {
+      UdpSocket socket(p, NetIface{0xb, 2, Resolve});
+      ASSERT_EQ(BindKind(socket, 200, ring), Status::kOk);
+      RdpEndpoint rdp(p, socket, RdpEndpoint::Config{.peer_ip = 1, .peer_port = 100});
+      const uint64_t start = p.machine().clock().now();
+      status = rdp.Recv(kBound).status();
+      waited = p.machine().clock().now() - start;
+    });
+    ASSERT_TRUE(receiver.ok());
+    rig.Run();
+    EXPECT_EQ(status, Status::kErrTimedOut);
+    EXPECT_GE(waited, kBound);
+    EXPECT_LT(waited, kBound + kBound / 100);
+  }
+}
+
 // Sweep: exactly-once delivery holds across the loss spectrum.
 class RdpLossSweep : public ::testing::TestWithParam<uint32_t> {};
 

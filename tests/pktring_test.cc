@@ -741,6 +741,78 @@ TEST_F(PktRingExosTest, QueueToBatchesFramesIntoOneDoorbell) {
   EXPECT_EQ(seen, (std::vector<uint8_t>{0, 1, 2, 3, 4}));
 }
 
+TEST_F(PktRingExosTest, RecvUntilTimesOutAndDisarmsTheRing) {
+  // No traffic before the deadline: the wait ends at the deadline with
+  // kErrTimedOut and leaves the ring disarmed, so a frame that lands later
+  // rings no doorbell and waits in the ring for the next look.
+  constexpr uint64_t kWait = 50'000;
+  uint64_t deadline = 0;
+  uint64_t returned_at = 0;
+  Status waited = Status::kOk;
+  uint64_t doorbells_at_timeout = 0;
+  Result<PacketStats> later = Status::kErrNotFound;
+  uint8_t late_byte = 0;
+  Process receiver(kernel_b_, [&](Process& p) {
+    exos::UdpSocket socket(p, IfaceB());
+    ASSERT_EQ(socket.BindRing(200), Status::kOk);
+    deadline = p.machine().clock().now() + kWait;
+    waited = socket.RecvUntil(deadline).status();
+    returned_at = p.machine().clock().now();
+    doorbells_at_timeout = p.kernel().SysPacketStats(*socket.filter_id())->doorbells;
+    p.kernel().SysSleep(8 * kWait);  // The sender's frame lands meanwhile.
+    later = p.kernel().SysPacketStats(*socket.filter_id());
+    Result<exos::Datagram> dgram = socket.Recv(/*blocking=*/false);
+    ASSERT_TRUE(dgram.ok());
+    late_byte = dgram->payload[0];
+    EXPECT_EQ(socket.Close(), Status::kOk);
+  });
+  Process sender(kernel_a_, [&](Process& p) {
+    exos::UdpSocket socket(p, IfaceA());
+    ASSERT_EQ(socket.BindRing(100), Status::kOk);
+    p.kernel().SysSleep(4 * kWait);
+    ASSERT_EQ(socket.SendTo(2, 200, std::vector<uint8_t>{7}), Status::kOk);
+  });
+  ASSERT_TRUE(receiver.ok());
+  ASSERT_TRUE(sender.ok());
+  RunWorld();
+  EXPECT_EQ(waited, Status::kErrTimedOut);
+  EXPECT_GE(returned_at, deadline);
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->delivered, 1u);                    // The frame reached the ring...
+  EXPECT_EQ(later->doorbells, doorbells_at_timeout);  // ...without a doorbell.
+  EXPECT_EQ(late_byte, 7u);
+  EXPECT_TRUE(kernel_b_.AuditInvariants().ok());
+}
+
+TEST_F(PktRingExosTest, RecvUntilReturnsAFrameThatArrivesMidWait) {
+  constexpr uint64_t kWait = 50'000;
+  uint64_t deadline = 0;
+  uint64_t returned_at = 0;
+  uint8_t got = 0;
+  Process receiver(kernel_b_, [&](Process& p) {
+    exos::UdpSocket socket(p, IfaceB());
+    ASSERT_EQ(socket.BindRing(200), Status::kOk);
+    deadline = p.machine().clock().now() + 20 * kWait;
+    Result<exos::Datagram> dgram = socket.RecvUntil(deadline);
+    returned_at = p.machine().clock().now();
+    ASSERT_TRUE(dgram.ok());
+    got = dgram->payload[0];
+    EXPECT_EQ(socket.Close(), Status::kOk);
+  });
+  Process sender(kernel_a_, [&](Process& p) {
+    exos::UdpSocket socket(p, IfaceA());
+    ASSERT_EQ(socket.BindRing(100), Status::kOk);
+    p.kernel().SysSleep(kWait);
+    ASSERT_EQ(socket.SendTo(2, 200, std::vector<uint8_t>{9}), Status::kOk);
+  });
+  ASSERT_TRUE(receiver.ok());
+  ASSERT_TRUE(sender.ok());
+  RunWorld();
+  EXPECT_EQ(got, 9u);
+  EXPECT_LT(returned_at, 2 * kWait);  // Woken by the doorbell, not the alarm.
+  EXPECT_LT(returned_at, deadline);
+}
+
 TEST_F(PktRingExosTest, RdpOverRingsRecoversFromLoss) {
   wire_.SetLossRate(100);
   constexpr int kMessages = 12;
