@@ -1,80 +1,31 @@
 #!/bin/sh
 # Runs one suite of benches and merges their google-benchmark JSON outputs
-# into a single report:
-#   net   — DPF demux, ASH/UDP roundtrip, packet rings  -> BENCH_net.json
-#   fs    — file-cache policy and journaling ablations  -> BENCH_fs.json
-#   trace — xtrace observability cost ablation          -> BENCH_trace.json
-#   smp   — multi-CPU scaling and shootdown cost        -> BENCH_smp.json
-#   pressure — throughput under revocation storms       -> BENCH_pressure.json
-#   server — end-to-end HTTP/KV serving vs Ultrix       -> BENCH_server.json
-#   overload — goodput vs offered load, shed on/off    -> BENCH_overload.json
-#   reqtrace — per-request critical-path attribution   -> BENCH_reqtrace.json
-#   rack  — multi-machine rack scaling + power-cut failover -> BENCH_rack.json
+# into a single report. The suites and their members are declared once, in
+# bench/CMakeLists.txt (XOK_BENCH_SUITES); each `bench_<suite>` target
+# calls this script with the suite name, the report path and the members.
 #
 # The trace suite additionally arms the kernel event ring in every bench
 # boot (--xok_trace) and writes one TRACE_<bench>.json event summary next
 # to the merged report.
 #
-# Usage: run_benches.sh [suite] [output.json]
+# Usage: run_benches.sh suite output.json bench...
 #   BENCH_BIN_DIR: directory holding the bench binaries (default: cwd).
-# Invoked by the optional `bench_net` / `bench_fs` / `bench_trace` CMake
-# targets; also runnable by hand from the build tree's bench/ directory.
+# Exits nonzero if any bench does (a broken in-bench contract).
 set -eu
 
-suite="${1:-net}"
-case "$suite" in
-  net)
-    benches="bench_t07_dpf bench_t11_ash_net bench_abl_pktring"
-    default_out="BENCH_net.json"
-    with_trace=0
-    ;;
-  fs)
-    benches="bench_abl_file_cache bench_abl_journal"
-    default_out="BENCH_fs.json"
-    with_trace=0
-    ;;
-  trace)
-    benches="bench_abl_trace"
-    default_out="BENCH_trace.json"
-    with_trace=1
-    ;;
-  smp)
-    benches="bench_abl_smp"
-    default_out="BENCH_smp.json"
-    with_trace=0
-    ;;
-  pressure)
-    benches="bench_abl_pressure"
-    default_out="BENCH_pressure.json"
-    with_trace=0
-    ;;
-  server)
-    benches="bench_e2e_server"
-    default_out="BENCH_server.json"
-    with_trace=0
-    ;;
-  overload)
-    benches="bench_abl_overload"
-    default_out="BENCH_overload.json"
-    with_trace=0
-    ;;
-  reqtrace)
-    benches="bench_abl_reqtrace"
-    default_out="BENCH_reqtrace.json"
-    with_trace=0
-    ;;
-  rack)
-    benches="bench_abl_rack"
-    default_out="BENCH_rack.json"
-    with_trace=0
-    ;;
-  *)
-    echo "run_benches: unknown suite '$suite' (expected: net, fs, trace, smp, pressure, server, overload, reqtrace, rack)" >&2
-    exit 2
-    ;;
-esac
+if [ "$#" -lt 3 ]; then
+  echo "usage: run_benches.sh suite output.json bench..." >&2
+  exit 2
+fi
+suite="$1"
+out="$2"
+shift 2
+benches="$*"
+with_trace=0
+if [ "$suite" = "trace" ]; then
+  with_trace=1
+fi
 
-out="${2:-$default_out}"
 out_dir="$(dirname "$out")"
 bin_dir="${BENCH_BIN_DIR:-.}"
 tmp_dir="$(mktemp -d)"
