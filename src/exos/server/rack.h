@@ -5,26 +5,27 @@
 // Topology. Machine 0 is the client; machines 1..N each run the
 // *unmodified* KvServer libOS (src/exos/server/server.h) on their own
 // CPUs, NIC and disk. The client runs L "lane" environments; each lane
-// owns one RDP endpoint per server machine (stop-and-wait ARQ,
-// src/exos/rdp.h) and steers every request by consistent hashing over the
-// key — sharding policy in library space, one more time: the kernels on
-// either side know nothing about lanes, rings, or shards.
+// owns one UDP socket and steers every request by consistent hashing over
+// the key straight to the owning machine's KvServer port — sharding policy
+// in library space, one more time: the kernels on either side know
+// nothing about lanes, rings, or shards.
 //
-// On each server machine a per-lane RackGateway environment terminates the
-// lane's RDP session and forwards the inner HTTP/KV payload to the
-// machine-local KvServer through the NIC's internal loopback (the same
-// frames, filters, and rings a remote client would exercise), then relays
-// the reply back over RDP. The gateway is plain library code gluing two
-// transports together; KvServer is byte-for-byte the single-machine one.
+// Transport. The request envelope already carries a request id that the
+// reply echoes, so the reply is the acknowledgement: a lane sends the
+// envelope and waits a bounded time for the reply with its id, dropping
+// replies to any other id as stale — two frames per request. Nothing is
+// re-sent within the bound: the rack's wire injects no loss, and a
+// KvServer worker binds its ring before its storage setup, so a request
+// that arrives early queues instead of dropping.
 //
 // Failure model. A server machine can lose power mid-workload
 // (hw::FaultPlan::PowerCutAt — machine-scoped under a World: the others
-// keep running). Client lanes detect the silence through RDP retry
-// exhaustion or a bounded reply wait, mark the machine down in the shared
-// host-side RackState, and re-steer the key to the next alive server on
-// the ring. After the run the victim's platter image is rebooted into a
-// fresh machine and every worker extent is remounted: journal replay must
-// leave Fsck-clean file systems holding every synced key.
+// keep running). A lane that gets no reply within the reply bound marks
+// the machine down in the shared host-side RackState and re-steers the
+// key to the next alive server on the ring. After the run the victim's
+// platter image is rebooted into a fresh machine and every worker extent
+// is remounted: journal replay must leave Fsck-clean file systems holding
+// every synced key.
 #ifndef XOK_SRC_EXOS_SERVER_RACK_H_
 #define XOK_SRC_EXOS_SERVER_RACK_H_
 
@@ -62,17 +63,12 @@ class HashRing {
 
 // --- Address plan (static, like every exos experiment: no ARP) ---
 // Machine m (0 = client, 1.. = servers): ip = m + 1, mac = 0xa + m.
-inline constexpr uint16_t kRackKvPort = 7080;       // KvServer, per machine.
-inline constexpr uint16_t kRackLaneBase = 8000;     // Client lane sockets.
-inline constexpr uint16_t kRackGatewayBase = 8200;  // Gateway RDP sockets.
-inline constexpr uint16_t kRackForwardBase = 8400;  // Gateway->KV sockets.
+inline constexpr uint16_t kRackKvPort = 7080;    // KvServer, per machine.
+inline constexpr uint16_t kRackLaneBase = 8000;  // Lane l's socket: base + l.
 inline constexpr uint32_t kRackMaxServers = 8;
 
 uint64_t RackResolve(uint32_t ip);
 NetIface RackIface(uint32_t machine);
-// The client-side port lane `lane` uses to talk to server machine index
-// `server` (0-based): each (lane, server) pair is its own RDP session.
-uint16_t RackLanePort(uint32_t lane, uint32_t server);
 
 // Shared host-side state every client lane reads and writes. Lanes are
 // cooperative fibers of one machine, so plain fields need no locking.
@@ -103,20 +99,16 @@ struct RackConfig {
   uint64_t seed = 1;
   uint32_t vnodes = 16;
 
-  // Client-side failure detection: small retry budget and a bounded reply
-  // wait so a powered-off machine is declared dead in a few simulated ms.
-  uint64_t rto_cycles = hw::kClockHz / 1000;        // 1 ms initial RTO.
-  uint64_t rto_cap_cycles = hw::kClockHz / 250;     // 4 ms cap.
-  int max_retries = 6;
+  // Client-side failure detection: a server that sends no reply within
+  // this bound is marked down and its keys re-steered.
   uint64_t reply_timeout_cycles = hw::kClockHz / 4;  // 250 ms reply bound.
 
   // Power-cut arm: cut this server machine (0-based index among servers,
   // -1 = no cut) at the given absolute cycle on that machine's clock.
   int power_cut_server = -1;
+  // After a cut the run reboots the victim's platter image and verifies
+  // journal replay (Mount + Fsck per worker extent).
   uint64_t power_cut_cycle = 0;
-  // After the run, reboot the victim's platter image and verify journal
-  // replay (Mount + Fsck per worker extent).
-  bool verify_recovery = true;
 
   // Chaos arm: asynchronously kill environment `kill_env` on server
   // machine `kill_server` (0-based index among servers, -1 = off) at the
@@ -126,8 +118,6 @@ struct RackConfig {
   int kill_server = -1;
   uint32_t kill_env = 0;
   uint64_t kill_cycle = 0;
-
-  bool trace_requests = false;  // Arm SysTraceMark request marks rack-wide.
 };
 
 struct RackResult {
@@ -141,7 +131,7 @@ struct RackResult {
   uint64_t gave_up = 0;
   uint64_t resteered = 0;
   std::vector<uint64_t> acked_by_server;
-  uint64_t retransmissions = 0;  // Client-side RDP retransmits, all lanes.
+  uint64_t retransmissions = 0;  // Request re-sends, all lanes.
 
   // Power-cut arm.
   bool cut_fired = false;

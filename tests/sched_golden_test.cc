@@ -181,16 +181,16 @@ TEST(SchedGolden, RackOneServerFingerprint) {
   const RackResult r = RunRack(GoldenRack(1));
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.acked, 80u);
-  EXPECT_EQ(r.elapsed_cycles, 5834008u);
-  EXPECT_EQ(r.fingerprint, 12760588178804119525u);
+  EXPECT_EQ(r.elapsed_cycles, 5128528u);
+  EXPECT_EQ(r.fingerprint, 4750281736414373849u);
 }
 
 TEST(SchedGolden, RackFourServerFingerprint) {
   const RackResult r = RunRack(GoldenRack(4));
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.acked, 80u);
-  EXPECT_EQ(r.elapsed_cycles, 2936138u);
-  EXPECT_EQ(r.fingerprint, 16534461991536866089u);
+  EXPECT_EQ(r.elapsed_cycles, 2796228u);
+  EXPECT_EQ(r.fingerprint, 11566488080924791910u);
 }
 
 }  // namespace
