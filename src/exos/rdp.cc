@@ -170,12 +170,8 @@ uint64_t RdpEndpoint::JitteredWait(uint64_t rto) {
   }
   // SplitMix64 draw; "equal jitter" keeps at least half the backoff so the
   // ARQ still converges, while the top half decorrelates the fleet.
-  uint64_t z = (jitter_state_ += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
   const uint64_t half = rto / 2;
-  return half + z % (rto - half + 1);
+  return half + jitter_.NextBelow(rto - half + 1);
 }
 
 void RdpEndpoint::SendAck(uint8_t seq, bool queue_only) {

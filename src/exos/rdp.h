@@ -24,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "src/base/rand.h"
 #include "src/exos/udp.h"
 
 namespace xok::exos {
@@ -49,7 +50,7 @@ class RdpEndpoint {
 
   RdpEndpoint(Process& proc, UdpSocket& socket, const Config& config)
       : proc_(proc), socket_(socket), config_(config),
-        jitter_state_(config.jitter_seed) {}
+        jitter_(config.jitter_seed) {}
 
   // Reliably delivers `payload` (blocks until acknowledged). Each attempt
   // sleeps on the socket until a frame arrives or its RTO passes; after the
@@ -108,7 +109,7 @@ class RdpEndpoint {
   uint64_t duplicates_dropped_ = 0;
   uint64_t checksum_drops_ = 0;
   uint64_t backoffs_ = 0;
-  uint64_t jitter_state_ = 0;  // SplitMix64 state (0 while disarmed).
+  SplitMix64 jitter_;  // Drawn only while config_.jitter_seed != 0.
   std::vector<uint64_t> retransmit_log_;
   std::deque<Datagram> stashed_;  // DATA that arrived during a Send wait.
 };
