@@ -83,7 +83,7 @@ RackConfig PowerCutConfig() {
   config.put_per_mille = 250;
   config.seed = kSeed;
   config.power_cut_server = 1;
-  // Mid-measured-phase: without a cut the lanes serve from 1.27 to 2.01 s.
+  // Mid-measured-phase: without a cut the lanes serve from 1.27 to 2.03 s.
   config.power_cut_cycle = 16 * hw::kClockHz / 10;
   return config;
 }
