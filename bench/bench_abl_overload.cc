@@ -197,15 +197,17 @@ void PrintPaperTables() {
   const Rung& deepest = rungs.back();
   const double shed_pct = pct(deepest.on);
   const double unshed_pct = pct(deepest.off);
+  const bool holds = shed_pct >= 70.0 && shed_pct > 2.0 * unshed_pct;
   std::printf(
       "Peak goodput on the curve: %.0f r/s. Offered load beyond capacity must\n"
       "cost the excess, not the service: at %.0f r/s offered, shedding holds\n"
       "%.0f%% of peak (contract: >= 70%%) while the unprotected server serves a\n"
       "256-deep ring of corpses and holds %.0f%% — %s\n",
       peak, deepest.offered, shed_pct, unshed_pct,
-      (shed_pct >= 70.0 && shed_pct > 2.0 * unshed_pct)
-          ? "contract holds"
-          : "CONTRACT BROKEN (regression)");
+      holds ? "contract holds" : "CONTRACT BROKEN (regression)");
+  if (!holds) {
+    std::abort();
+  }
 }
 
 void BM_OverloadShedOnDeep(benchmark::State& state) {

@@ -111,6 +111,9 @@ void PrintPaperTables() {
               "Poll() repairs the page table and the working set refaults in.\n"
               "Post-storm recovery >= 90%% of baseline: %s\n",
               recovered ? "yes" : "NO (regression)");
+  if (!recovered) {
+    std::abort();
+  }
 }
 
 void BM_StormThroughput(benchmark::State& state) {

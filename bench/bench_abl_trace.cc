@@ -106,6 +106,9 @@ void PrintPaperTables() {
               static_cast<unsigned long long>(numbers.hist_count), numbers.hist_mean);
   std::printf("acceptance: armed overhead %.1f%% %s 10%% bound\n", overhead_all,
               overhead_all < 10.0 ? "within" : "EXCEEDS");
+  if (overhead_all >= 10.0) {
+    std::abort();
+  }
 }
 
 void BM_SysNullDisarmed(benchmark::State& state) {

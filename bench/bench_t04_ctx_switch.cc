@@ -3,7 +3,12 @@
 // per switch is half a roundtrip. Aegis's yield does minimal bookkeeping
 // and lets applications save their own state; Ultrix runs the full
 // in-kernel context-switch machinery on every crossing.
+//
+// BM_HostFiberSwitchRoundTrip is a host number, not a paper one: two raw
+// hw::Fibers ping-pong, so it times the host switch every simulated env,
+// process and machine runs on (the simulated tables do not depend on it).
 #include "bench/bench_util.h"
+#include "src/hw/fiber.h"
 
 namespace xok::bench {
 namespace {
@@ -83,6 +88,25 @@ void BM_UltrixYieldPingPong(benchmark::State& state) {
   state.counters["sim_us"] = Us(MeasureUltrixYield());
 }
 BENCHMARK(BM_UltrixYieldPingPong)->Unit(benchmark::kMillisecond);
+
+// One iteration is a round trip: main -> child -> main.
+void BM_HostFiberSwitchRoundTrip(benchmark::State& state) {
+  hw::Fiber main_fiber;
+  hw::Fiber* child_ptr = nullptr;
+  uint64_t visits = 0;
+  hw::Fiber child([&] {
+    for (;;) {
+      ++visits;
+      hw::Fiber::Switch(*child_ptr, main_fiber);
+    }
+  });
+  child_ptr = &child;
+  for (auto _ : state) {
+    hw::Fiber::Switch(main_fiber, child);
+  }
+  benchmark::DoNotOptimize(visits);
+}
+BENCHMARK(BM_HostFiberSwitchRoundTrip);
 
 }  // namespace
 }  // namespace xok::bench

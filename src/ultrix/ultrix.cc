@@ -303,6 +303,7 @@ void Ultrix::OnInterrupt(hw::InterruptSource source, uint64_t payload) {
     case hw::InterruptSource::kFault:
     case hw::InterruptSource::kPowerFail:
     case hw::InterruptSource::kIpi:
+    case hw::InterruptSource::kPressure:
       break;
   }
 }

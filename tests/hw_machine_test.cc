@@ -241,6 +241,31 @@ TEST_F(MachineTest, ClearSliceDeadlineDisarms) {
   EXPECT_TRUE(kernel_.interrupts.empty());
 }
 
+TEST(PhysMem, FreshMachineReadsZeroAndViewsShareBytes) {
+  constexpr uint32_t kPages = 64;
+  Machine machine(Machine::Config{.phys_pages = kPages, .name = "zero"});
+  PhysMem& mem = machine.mem();
+  ASSERT_EQ(mem.page_count(), kPages);
+  for (PageId page = 0; page < kPages; ++page) {
+    for (uint8_t byte : mem.PageSpan(page)) {
+      ASSERT_EQ(byte, 0) << "page " << page;
+    }
+  }
+
+  // A write through one view is seen through every other.
+  mem.PageSpan(3)[17] = 0xab;
+  mem.WriteWord(5 * kPageBytes + 8, 0x12345678u);
+  std::span<uint8_t> range = mem.RangeSpan(2, 4);
+  ASSERT_EQ(range.size(), 4 * kPageBytes);
+  EXPECT_EQ(range[kPageBytes + 17], 0xab);
+  EXPECT_EQ(mem.ReadByte(3 * kPageBytes + 17), 0xab);
+  range[3 * kPageBytes + 8] = 0x99;  // Low byte of the word on page 5.
+  EXPECT_EQ(mem.ReadWord(5 * kPageBytes + 8), 0x12345699u);
+  const PhysMem& const_mem = mem;
+  EXPECT_EQ(const_mem.PageSpan(5)[8], 0x99);
+  EXPECT_EQ(mem.ReadWord((kPages - 1) * kPageBytes), 0u);
+}
+
 TEST(MachineAsid, SeparateAsidsDoNotShareMappings) {
   Machine machine(Machine::Config{.phys_pages = 64, .name = "t1"});
   FakeKernel kernel(machine);
